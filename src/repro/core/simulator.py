@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..drain.controller import DrainController
+from ..drain.controller import DrainController, TurnConfig, compile_turns
 from ..drain.path import DrainPath
 from ..network.deadlock import (
     WaitForGraph,
@@ -229,10 +229,15 @@ class Simulation:
             # cost Figure 5 quantifies.
             routing = UpDownRouting(self.index, deterministic=True)
         elif parts is not None and parts.routing is not None:
+            # One DenseCandidateTables per memo entry: the vectorized
+            # engine keys its memoized rows on this exact object.
             routing = AdaptiveMinimalRouting(
                 self.index,
-                tables=DenseCandidateTables.from_arrays(
-                    self.index, *parts.routing
+                tables=parts.derive(
+                    "tables",
+                    lambda: DenseCandidateTables.from_arrays(
+                        self.index, *parts.routing
+                    ),
                 ),
             )
         else:
@@ -240,10 +245,15 @@ class Simulation:
 
         escape_mode = None
         escape_routing = None
+        # Compiled turn tables to adopt, only ever for a drain path taken
+        # from the shared parts or the store (a caller-supplied path
+        # always compiles its own).
+        turns: Optional[TurnConfig] = None
         if scheme is Scheme.DRAIN:
             escape_mode = "drain"
             if adopt and drain_path is None:
                 drain_path = shared.drain_path
+                turns = shared.drain_turns
             elif (
                 drain_path is None
                 and parts is not None
@@ -252,6 +262,9 @@ class Simulation:
                 drain_path = DrainPath(
                     topology,
                     [Link(src, dst) for src, dst in parts.drain_links],
+                )
+                turns = parts.derive(
+                    "turns", lambda: compile_turns(self.index, [drain_path])
                 )
         elif scheme is Scheme.ESCAPE_VC:
             escape_mode = "escape_vc"
@@ -297,6 +310,7 @@ class Simulation:
                 rng=rng_mod.spawn(config.seed, "fabric"),
                 dense=dense,
                 engine=engine,
+                parts=parts,
             )
 
         self.drain_controller: Optional[DrainController] = None
@@ -308,7 +322,7 @@ class Simulation:
         if scheme is Scheme.DRAIN:
             self.drain_controller = DrainController(
                 self.fabric, config.drain, path=drain_path,
-                tables_from=shared.drain_ctrl if adopt else None,
+                tables_from=turns,
             )
         elif scheme is Scheme.SPIN:
             self.spin_controller = SpinController(

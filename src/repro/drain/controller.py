@@ -30,15 +30,43 @@ every cycle, preserving the permutation property per cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import DrainConfig
 from ..network.fabric import Fabric
+from ..network.index import FabricIndex
 from ..topology.graph import Topology
 from .path import DrainPath, find_drain_path
 from .turntable import TurnTable, build_turn_tables
 
-__all__ = ["DrainController"]
+__all__ = ["DrainController", "TurnConfig", "compile_turns"]
+
+#: A covering cycle set's compiled form: per-router turn tables plus each
+#: cycle's port list in cycle order. Read-only once built — a recovery
+#: reinstall replaces it wholesale — so one instance can serve every
+#: controller booting the same path (batch donors, the structure memo).
+TurnConfig = Tuple[Dict[int, TurnTable], List[List[int]]]
+
+
+def compile_turns(index: FabricIndex, paths: Sequence[DrainPath]) -> TurnConfig:
+    """Turn tables and port cycles for *paths* (disjoint covering cycles)."""
+    turn_tables: Dict[int, TurnTable] = {}
+    for path in paths:
+        for router, table in build_turn_tables(path).items():
+            # Component sub-topologies carry the full router numbering;
+            # routers outside the component get empty tables which must
+            # not clobber another component's real table.
+            if len(table) or router not in turn_tables:
+                turn_tables[router] = table
+    port_cycles = [[index.link_id[link] for link in path.links]
+                   for path in paths]
+    seen = set()
+    for ports in port_cycles:
+        for port in ports:
+            if port in seen:
+                raise ValueError("drain cycles share a link")
+            seen.add(port)
+    return turn_tables, port_cycles
 
 
 class DrainController:
@@ -49,7 +77,7 @@ class DrainController:
         fabric: Fabric,
         config: DrainConfig,
         path: Optional[DrainPath] = None,
-        tables_from: Optional["DrainController"] = None,
+        tables_from: Optional[TurnConfig] = None,
     ) -> None:
         self.fabric = fabric
         self.config = config
@@ -69,16 +97,14 @@ class DrainController:
         self.pre_drain_extensions = 0
         #: Online drain-path reinstallations (fault recovery events).
         self.reinstalls = 0
-        if (tables_from is not None and len(tables_from.paths) == 1
-                and tables_from.paths[0] is path):
-            # Cross-trial shared construction (batch groups): the donor
-            # compiled turn tables for this exact path object, and the
-            # compiled form is read-only until a recovery reinstall (which
-            # replaces it wholesale). Adopting it skips the per-member
-            # build without any shared mutable state.
-            self.paths = tables_from.paths
-            self.turn_tables = tables_from.turn_tables
-            self.path_port_cycles = tables_from.path_port_cycles
+        if tables_from is not None:
+            # Cross-trial shared construction (a batch donor or the
+            # structure memo): the caller vouches that *tables_from* was
+            # compiled for this path over this index numbering. Adopting
+            # it skips the per-trial build without any shared mutable
+            # state.
+            self.paths = [path]
+            self.turn_tables, self.path_port_cycles = tables_from
         else:
             self.install_paths([path])
 
@@ -94,27 +120,12 @@ class DrainController:
         it means faults left no drainable links, and drain windows become
         no-ops.
         """
-        index = self.fabric.index
         self.paths: List[DrainPath] = list(paths)
-        self.turn_tables: Dict[int, TurnTable] = {}
-        for path in self.paths:
-            for router, table in build_turn_tables(path).items():
-                # Component sub-topologies carry the full router numbering;
-                # routers outside the component get empty tables which must
-                # not clobber another component's real table.
-                if len(table) or router not in self.turn_tables:
-                    self.turn_tables[router] = table
-        #: Per-cycle drain-path port lists, each in cycle order.
-        self.path_port_cycles: List[List[int]] = [
-            [index.link_id[link] for link in path.links]
-            for path in self.paths
-        ]
-        seen = set()
-        for ports in self.path_port_cycles:
-            for port in ports:
-                if port in seen:
-                    raise ValueError("drain cycles share a link")
-                seen.add(port)
+        #: Turn tables by router, and per-cycle drain-path port lists,
+        #: each in cycle order.
+        self.turn_tables, self.path_port_cycles = compile_turns(
+            self.fabric.index, self.paths
+        )
         # Path (re)installation accompanies routing-table changes during
         # online recovery; drop any memoized candidate groups.
         self.fabric.invalidate_routing_cache()

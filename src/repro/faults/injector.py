@@ -29,6 +29,7 @@ counts and machines — which the determinism suite pins.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..drain.path import DrainPathError
@@ -78,7 +79,10 @@ class FaultInjector:
                 "pause storms need a pause/resume fabric: set "
                 "flow_control='pause_resume' in the SimConfig"
             )
-        self.sim = sim
+        # The owning simulation, held weakly so the pair is not a
+        # reference cycle (a finished trial is freed by reference
+        # counting, not by the next full GC pass).
+        self.sim = weakref.proxy(sim)
         self.schedule = schedule
         self.storm = storm
         self.policy = policy

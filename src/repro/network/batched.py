@@ -261,19 +261,19 @@ class SharedParts:
     """
 
     __slots__ = ("topology", "scheme", "index", "routing",
-                 "escape_routing", "drain_path", "drain_ctrl")
+                 "escape_routing", "drain_path", "drain_turns")
 
     def __init__(self, topology, scheme, index, routing, escape_routing,
-                 drain_path, drain_ctrl=None) -> None:
+                 drain_path, drain_turns=None) -> None:
         self.topology = topology
         self.scheme = scheme
         self.index = index
         self.routing = routing
         self.escape_routing = escape_routing
         self.drain_path = drain_path
-        #: Donor drain controller — members adopt its compiled turn
-        #: tables (read-only until a recovery reinstall replaces them).
-        self.drain_ctrl = drain_ctrl
+        #: The donor controller's compiled turn tables for *drain_path*
+        #: (read-only until a recovery reinstall replaces them).
+        self.drain_turns = drain_turns
 
     @classmethod
     def from_simulation(cls, sim) -> "SharedParts":
@@ -286,7 +286,8 @@ class SharedParts:
             sim.fabric.routing,
             sim.fabric.escape_routing,
             ctrl.path if ctrl is not None and ctrl.paths else None,
-            ctrl,
+            (ctrl.turn_tables, ctrl.path_port_cycles)
+            if ctrl is not None else None,
         )
 
 
@@ -302,8 +303,7 @@ def adopt_engine_tables(donor_fabric, fabrics) -> int:
     donor = getattr(donor_fabric, "_engine", None)
     if donor is None:
         return 0
-    if donor._rows is None or donor._epoch != donor_fabric.index.fault_epoch:
-        donor._build_tables()
+    rows = donor.export_rows()
     adopted = 0
     for fabric in fabrics:
         eng = getattr(fabric, "_engine", None)
@@ -318,12 +318,7 @@ def adopt_engine_tables(donor_fabric, fabrics) -> int:
             or fabric.escape_sticky != donor_fabric.escape_sticky
         ):
             continue
-        eng._rows = donor._rows
-        eng._esc_rows = donor._esc_rows
-        eng._epoch = donor._epoch
-        eng.tables = donor.tables
-        eng.escape_tables = donor.escape_tables
-        eng.rebuilds += 1  # counts as this engine's initial build
+        eng.adopt(rows)  # counts as this engine's initial build
         adopted += 1
     return adopted
 

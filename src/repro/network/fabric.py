@@ -166,6 +166,7 @@ class Fabric:
         rng: Optional[random.Random] = None,
         dense: bool = False,
         engine: Optional[str] = None,
+        parts=None,
     ) -> None:
         if escape_mode not in (None, "drain", "escape_vc"):
             raise ValueError(f"unknown escape mode {escape_mode!r}")
@@ -273,7 +274,9 @@ class Fabric:
         # the reference sweep and always wins; otherwise "auto" and
         # "vectorized" install the batched kernel when its support
         # conditions hold, and fall back to the scalar path — silently,
-        # with the reason recorded — when they don't.
+        # with the reason recorded — when they don't. *parts* (the
+        # structure memo entry, see repro.structcache) lets the engine
+        # adopt boot rows compiled by an earlier trial of the structure.
         #: Resolved engine: "dense", "scalar" or "vectorized".
         self.engine_name: str = "dense" if self.dense else "scalar"
         #: Why a requested/auto vectorized engine was not installed.
@@ -283,7 +286,7 @@ class Fabric:
             if reason is None:
                 reason = VectorizedEngine.unsupported_reason(self)
             if reason is None:
-                self._engine = VectorizedEngine(self)
+                self._engine = VectorizedEngine(self, parts)
                 self._engine_avail = self._engine.avail
                 self.engine_name = "vectorized"
             else:

@@ -20,7 +20,18 @@ is invalidated). From those arrays the engine precompiles one immutable
 row per (router, dst, escape-flag): the candidate links doubled back to
 back (so a rotation never takes a modulo) plus the scheme's VC-mode
 discipline, replacing the scalar path's per-packet memo lookups and
-``_pick_vc`` calls.
+``_pick_vc`` calls. Rows are interned (one group per distinct
+``(links, mode)``, one row pair per distinct candidate list) and the
+whole set is an immutable :class:`EngineRows`.
+
+A row set is compiled once per structure, not per trial. With the
+structure store active the boot set lives on the structure's memo entry
+(:class:`~repro.structcache.StructParts`), and every later engine of the
+structure adopts it through :meth:`VectorizedEngine.adopt` — the same
+method batch members use to share their donor's set. Adoption is boot
+state only: fault epoch 0, with the routing function still holding the
+memo's compiled tables. A later fault epoch, or an invalidation of rows
+already held, compiles privately and never writes back.
 
 Credit and escape availability live in one flat byte array — bit ``v`` of
 ``avail[port * num_vns + vn]`` is set iff VC ``v`` of that (port, vn) row
@@ -44,7 +55,8 @@ VCs per VN, and stateless routing functions with no per-hop state hooks.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import weakref
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..routing.base import RoutingFunction
 from .index import DenseCandidateTables
@@ -62,7 +74,7 @@ _PAIR = (0, 1)
 _Group = Tuple[Tuple[int, ...], Tuple[int, ...], int, int]
 
 
-def _make_group(links: List[int], mode: int) -> _Group:
+def _make_group(links: Sequence[int], mode: int) -> _Group:
     doubled = tuple(links) + tuple(links)
     return (doubled, (mode,) * len(doubled), len(links), mode)
 
@@ -73,17 +85,41 @@ def _make_mixed_group(pairs: List[Tuple[int, int]]) -> _Group:
     return (links + links, modes + modes, len(pairs), -1)
 
 
+_Row = Tuple[_Group, ...]
+
+
+class EngineRows(NamedTuple):
+    """One compiled row set: immutable, shareable between engines.
+
+    ``rows``/``esc_rows`` are indexed by ``router * n + dst``; ``tables``
+    (and ``escape_tables`` under ESCAPE_VC) are the CSR tables they were
+    compiled from, whose ``epoch`` is the fault epoch of the whole set.
+    """
+
+    rows: Tuple[_Row, ...]
+    esc_rows: Tuple[_Row, ...]
+    tables: DenseCandidateTables
+    escape_tables: Optional[DenseCandidateTables]
+
+
 class VectorizedEngine:
     """Movement/allocation/ejection kernel over precompiled tables."""
 
     __slots__ = (
-        "fabric", "_rows", "_esc_rows", "_epoch", "avail",
+        "_fabric", "_rows", "_esc_rows", "_epoch", "avail",
         "_slot_port", "_slot_ai", "_slot_bit", "rebuilds",
-        "tables", "escape_tables",
+        "tables", "escape_tables", "_parts",
     )
 
-    def __init__(self, fabric) -> None:
-        self.fabric = fabric
+    def __init__(self, fabric, parts=None) -> None:
+        # The owning fabric, held weakly: a strong back-reference would
+        # make every trial's fabric cyclic garbage, freed only by a full
+        # GC pass instead of by reference counting at trial end.
+        self._fabric = weakref.ref(fabric)
+        #: Structure-memo entry (:class:`~repro.structcache.StructParts`)
+        #: whose boot row set this engine may adopt; dropped on the first
+        #: invalidation of adopted rows.
+        self._parts = parts
         index = fabric.index
         num_vns = fabric.num_vns
         stride = fabric._port_stride
@@ -106,14 +142,19 @@ class VectorizedEngine:
         for s in range(num_slots):
             if flat[s] is not None:
                 self.avail[self._slot_ai[s]] &= ~self._slot_bit[s] & 0xFF
-        self._rows: Optional[List[Tuple[_Group, ...]]] = None
-        self._esc_rows: Optional[List[Tuple[_Group, ...]]] = None
+        self._rows: Optional[Tuple[_Row, ...]] = None
+        self._esc_rows: Optional[Tuple[_Row, ...]] = None
         self._epoch = -1
         self.tables: Optional[DenseCandidateTables] = None
         self.escape_tables: Optional[DenseCandidateTables] = None
         #: Table (re)builds performed, including the initial one (test hook
         #: for the fault-epoch invalidation contract).
         self.rebuilds = 0
+
+    @property
+    def fabric(self):
+        """The owning fabric (dereferenced once per kernel call)."""
+        return self._fabric()
 
     # ------------------------------------------------------------------
     # Support gate
@@ -142,11 +183,53 @@ class VectorizedEngine:
     # Table compilation
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop the compiled rows (mirror of ``invalidate_routing_cache``)."""
+        """Drop the compiled rows (mirror of ``invalidate_routing_cache``).
+
+        Invalidating rows that exist also detaches the engine from the
+        structure memo: the tables they came from may have changed, so
+        every later build is private. (The drain controller invalidates
+        once at construction, before any rows exist; that keeps the memo.)
+        """
+        if self._rows is not None:
+            self._parts = None
         self._rows = None
         self._esc_rows = None
 
+    def adopt(self, compiled: EngineRows) -> None:
+        """Install a compiled row set (own build, memo or batch donor)."""
+        self._rows = compiled.rows
+        self._esc_rows = compiled.esc_rows
+        self.tables = compiled.tables
+        self.escape_tables = compiled.escape_tables
+        self._epoch = compiled.tables.epoch
+        self.rebuilds += 1
+
+    def export_rows(self) -> EngineRows:
+        """The current row set, compiling it first if it is stale."""
+        if self._rows is None or self._epoch != self.fabric.index.fault_epoch:
+            self._build_tables()
+        return EngineRows(self._rows, self._esc_rows, self.tables,
+                          self.escape_tables)
+
     def _build_tables(self) -> None:
+        """Adopt the structure memo's boot rows, or compile privately.
+
+        The memo serves only the boot state: fault epoch 0, with the
+        routing function still holding the memo's compiled tables (any
+        fault rebuild clears them). Everything else compiles privately
+        and never writes back.
+        """
+        parts = self._parts
+        fabric = self.fabric
+        compiled = getattr(fabric.routing, "compiled_tables", None)
+        if (parts is not None and fabric.index.fault_epoch == 0
+                and compiled is not None
+                and compiled is parts.derived.get("tables")):
+            self.adopt(parts.derive("engine", self._compile))
+        else:
+            self.adopt(self._compile())
+
+    def _compile(self) -> EngineRows:
         fabric = self.fabric
         index = fabric.index
         n = index.num_nodes
@@ -156,50 +239,67 @@ class VectorizedEngine:
             # instead of re-flattening the routing function's list tables
             # (identical by the store's round-trip contract; any fault
             # rebuild clears compiled_tables, so staleness is impossible).
-            self.tables = compiled
+            tables = compiled
         else:
             exported = fabric.routing.export_tables(n)
             if exported is None:  # pragma: no cover - gated at construction
                 raise RuntimeError("routing function stopped exporting tables")
-            self.tables = DenseCandidateTables(index, exported)
-        main_rows = self.tables.row_lists()
-        esc_main_rows = None
-        if fabric.escape_mode == "escape_vc":
+            tables = DenseCandidateTables(index, exported)
+        main_rows = tables.row_lists()
+        escape_tables = None
+        esc_main_rows: List[List[int]] = []
+        mode = fabric.escape_mode
+        if mode == "escape_vc":
             esc_exported = fabric.escape_routing.export_tables(n)
             if esc_exported is None:  # pragma: no cover - gated likewise
                 raise RuntimeError("escape routing stopped exporting tables")
-            self.escape_tables = DenseCandidateTables(index, esc_exported)
-            esc_main_rows = self.escape_tables.row_lists()
-        mode = fabric.escape_mode
-        empty: Tuple[_Group, ...] = ()
-        rows: List[Tuple[_Group, ...]] = [empty] * (n * n)
-        esc_rows: List[Tuple[_Group, ...]] = [empty] * (n * n)
+            escape_tables = DenseCandidateTables(index, esc_exported)
+            esc_main_rows = escape_tables.row_lists()
+        # Interning: one group per distinct (links, mode) and one row pair
+        # per distinct candidate list, so the (router, dst) rows of a
+        # structure share a few thousand tuples instead of owning one
+        # each. Rows are read-only, so sharing is unobservable.
+        groups: Dict[Tuple[Tuple[int, ...], int], _Group] = {}
+
+        def group(links: Tuple[int, ...], gmode: int) -> _Group:
+            key = (links, gmode)
+            found = groups.get(key)
+            if found is None:
+                found = groups[key] = _make_group(links, gmode)
+            return found
+
+        empty: _Row = ()
+        pairs: Dict[object, Tuple[_Row, _Row]] = {(): (empty, empty)}
+        rows: List[_Row] = [empty] * (n * n)
+        esc_rows: List[_Row] = [empty] * (n * n)
         for idx in range(n * n):
-            links = main_rows[idx]
-            if mode is None:
-                if links:
-                    row = (_make_group(links, 0),)
-                    rows[idx] = row
-                    # escape flag is never consulted under mode None, but
-                    # the scalar memo ignores it too: same row either way.
-                    esc_rows[idx] = row
-            elif mode == "drain":
-                if links:
-                    g2 = _make_group(links, 2)
-                    rows[idx] = (_make_group(links, 3), g2)
-                    esc_rows[idx] = (g2,)
-            else:  # escape_vc
-                esc_links = esc_main_rows[idx]
-                pairs = [(link, 4) for link in links]
-                pairs.extend((link, 2) for link in esc_links)
-                if pairs:
-                    rows[idx] = (_make_mixed_group(pairs),)
-                if esc_links:
-                    esc_rows[idx] = (_make_group(esc_links, 2),)
-        self._rows = rows
-        self._esc_rows = esc_rows
-        self._epoch = index.fault_epoch
-        self.rebuilds += 1
+            links = tuple(main_rows[idx])
+            key: object = links
+            if mode == "escape_vc":
+                esc_links = tuple(esc_main_rows[idx])
+                key = (links, esc_links) if (links or esc_links) else ()
+            pair = pairs.get(key)
+            if pair is None:
+                if mode is None:
+                    # The escape flag is never consulted under mode None,
+                    # but the scalar memo ignores it too: same row either
+                    # way.
+                    row = (group(links, 0),)
+                    pair = (row, row)
+                elif mode == "drain":
+                    g2 = group(links, 2)
+                    pair = ((group(links, 3), g2), (g2,))
+                else:  # escape_vc
+                    mixed = [(link, 4) for link in links]
+                    mixed.extend((link, 2) for link in esc_links)
+                    pair = (
+                        (_make_mixed_group(mixed),) if mixed else empty,
+                        (group(esc_links, 2),) if esc_links else empty,
+                    )
+                pairs[key] = pair
+            rows[idx], esc_rows[idx] = pair
+        return EngineRows(tuple(rows), tuple(esc_rows), tables,
+                          escape_tables)
 
     # ------------------------------------------------------------------
     # The kernel

@@ -5,9 +5,12 @@ expensive artefacts: the all-pairs hop-distance matrix, the adaptive
 routing tables in CSR form, the Eulerian drain path, and the preflight
 certificate. This module memoizes them at three layers:
 
-1. an **in-process memo** (bounded, content-digest keyed) so repeated
-   :class:`~repro.network.index.FabricIndex` constructions inside one
-   process compute each matrix once;
+1. an **in-process memo** (bounded LRU, content-digest keyed) so
+   repeated :class:`~repro.network.index.FabricIndex` constructions
+   inside one process compute each matrix once; each structure's entry
+   also carries the process-local artefacts derived from it — the
+   vectorized engine's compiled rows and the drain turn tables — so
+   they are built once per structure rather than once per trial;
 2. an **on-disk store** (``<root>/<kind>/<digest[:2]>/<digest>/``) of
    ``.npy`` arrays loaded with ``mmap_mode="r"`` so concurrent worker
    processes share page-cache pages instead of private copies, plus
@@ -41,7 +44,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 try:  # pragma: no cover - the container ships numpy
     import numpy as _np
@@ -105,9 +108,11 @@ class StructStore:
     ``hits``/``misses`` count disk lookups, ``compiles`` counts artefacts
     built from scratch (the expensive event the warm-start protocol
     exists to bound), ``corrupt`` counts entries that failed validation
-    and were deleted for recompute. Counters are per-process: the run
-    manifest snapshots the parent's, which the warm-start protocol makes
-    authoritative (workers only ever load).
+    and were deleted for recompute. ``derived_builds``/``derived_hits``
+    count the process-local artefacts of :meth:`StructParts.derive`
+    (never persisted, so never ``compiles``). Counters are per-process:
+    the run manifest snapshots the parent's, which the warm-start
+    protocol makes authoritative (workers only ever load).
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
@@ -116,6 +121,8 @@ class StructStore:
         self.misses = 0
         self.compiles = 0
         self.corrupt = 0
+        self.derived_builds = 0
+        self.derived_hits = 0
 
     # ------------------------------------------------------------------
     # Array artefacts (.npy + meta.json commit marker)
@@ -308,6 +315,8 @@ class StructStore:
             "misses": self.misses,
             "compiles": self.compiles,
             "corrupt": self.corrupt,
+            "derived_builds": self.derived_builds,
+            "derived_hits": self.derived_hits,
         }
 
 
@@ -353,16 +362,26 @@ def stats() -> Optional[Dict[str, Any]]:
 # ----------------------------------------------------------------------
 # In-process memos (layer 1)
 # ----------------------------------------------------------------------
-#: Distinct structures held in process at once. Each entry is a few MB at
-#: thousand-switch scale; sweeps iterate seeds within one structure, so a
-#: small bound loses nothing.
+#: Distinct structures held in process at once (least recently used goes
+#: first). A parts entry holds its derived engine rows too: under 1 MB on
+#: an 8x8 mesh, tens of MB at thousand-switch scale. Sweeps iterate seeds
+#: within one structure, so a small bound loses nothing.
 _MEMO_LIMIT = 4
 
 _DIST_MEMO: Dict[str, Any] = {}
 _PARTS_MEMO: Dict[str, "StructParts"] = {}
 
 
+def _memo_get(memo: Dict[str, Any], key: str) -> Any:
+    """Memo entry for *key* (None on miss), refreshed to most-recent."""
+    value = memo.pop(key, None)
+    if value is not None:
+        memo[key] = value
+    return value
+
+
 def _memo_put(memo: Dict[str, Any], key: str, value: Any) -> None:
+    """Insert *key* as most-recent, evicting least-recently-used entries."""
     memo[key] = value
     while len(memo) > _MEMO_LIMIT:
         memo.pop(next(iter(memo)))
@@ -387,7 +406,7 @@ def distances(topology: Any) -> List[List[int]]:
     :meth:`FabricIndex.apply_faults` overwrites rows in place.
     """
     key = topology_digest(topology)
-    cached = _DIST_MEMO.get(key)
+    cached = _memo_get(_DIST_MEMO, key)
     if cached is None:
         store = active_store() if _np is not None else None
         if store is not None:
@@ -420,9 +439,14 @@ class StructParts:
     drain cycle as ``(src, dst)`` pairs in path order (None for
     non-DRAIN schemes). Arrays may be read-only memory maps — consumers
     must never write them (the DET008 contract).
+
+    ``derived`` holds process-local artefacts compiled from the above on
+    first use (:meth:`derive`): never persisted or hashed, and dropped
+    with this memo entry. Like the arrays they are shared read-only by
+    every trial of the structure.
     """
 
-    __slots__ = ("digest", "routing", "drain_links")
+    __slots__ = ("digest", "routing", "drain_links", "derived")
 
     def __init__(
         self,
@@ -433,6 +457,19 @@ class StructParts:
         self.digest = digest
         self.routing = routing
         self.drain_links = drain_links
+        self.derived: Dict[str, Any] = {}
+
+    def derive(self, kind: str, build: Callable[[], Any]) -> Any:
+        """The derived artefact *kind*, calling *build* on first use only."""
+        value = self.derived.get(kind)
+        store = active_store()
+        if value is None:
+            value = self.derived[kind] = build()
+            if store is not None:
+                store.derived_builds += 1
+        elif store is not None:
+            store.derived_hits += 1
+        return value
 
 
 def _compile_routing(topology: Any) -> Tuple[Any, Any, Any]:
@@ -532,7 +569,7 @@ def parts_for(topology: Any, config: Any) -> Optional[StructParts]:
 
     config_dict = config_to_dict(config)
     key = structure_digest(topology_payload(topology), config_dict)
-    parts = _PARTS_MEMO.get(key)
+    parts = _memo_get(_PARTS_MEMO, key)
     if parts is not None:
         return parts
     scheme = config_dict.get("scheme")

@@ -1,11 +1,14 @@
 """End-to-end tests for the Simulation facade."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.core.config import Scheme
 from repro.core.simulator import Simulation
+from repro.faults.schedule import FaultSchedule
 from repro.traffic.synthetic import SyntheticTraffic, UniformRandom
 from tests.conftest import make_config
 
@@ -132,3 +135,27 @@ class TestSchemeBehaviour:
         stats = sim.run(20_000)
         assert sim.deadlocked
         assert stats.cycles < 20_000
+
+
+class TestTeardown:
+    def test_finished_trial_freed_by_refcount(self, mesh4):
+        # No reference cycles through the simulation's parts: a finished
+        # trial's memory goes back at once, not at the next full GC pass.
+        config = make_config(Scheme.DRAIN, epoch=200).with_seed(3)
+        traffic = SyntheticTraffic(UniformRandom(16), 0.08, random.Random(3))
+        schedule = FaultSchedule.generate(
+            mesh4, 1, seed=3, window=(100, 200), ensure_connected=True
+        )
+        gc.disable()
+        try:
+            sim = Simulation(mesh4, config, traffic, fault_schedule=schedule)
+            sim.run(400)
+            assert sim.fabric.engine_name == "vectorized"
+            assert sim.index.fault_epoch > 0
+            refs = [weakref.ref(obj) for obj in (
+                sim, sim.fabric, sim.fault_injector, sim.drain_controller,
+            )]
+            del sim
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()

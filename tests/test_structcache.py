@@ -22,12 +22,18 @@ from repro.core.configio import config_to_dict
 from repro.core.simulator import Simulation
 from repro.experiments.common import Scale, scheme_config, synthetic_trial_for
 from repro.harness import Harness, execute_trial
+from repro.drain.path import find_drain_path
+from repro.faults.schedule import FaultSchedule
+from repro.harness import fault_recovery_trial
+from repro.harness.manifest import build_manifest
 from repro.harness.trials import structural_params, topology_to_spec
 from repro.network.index import DenseCandidateTables, FabricIndex
+from repro.network.vectorized import _make_group, _make_mixed_group
 from repro.routing.adaptive import AdaptiveMinimalRouting
 from repro.topology.datacenter import make_leaf_spine
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_torus
+from repro.traffic.synthetic import SyntheticTraffic, UniformRandom
 
 TINY = Scale(warmup=60, measure=200, fault_patterns=1,
              sweep_rates=(0.04,), epoch=256, spin_timeout=64)
@@ -319,3 +325,244 @@ class TestCertificates:
         second = validate_spec(spec)
         assert second.as_dict() == first.as_dict()
         assert store.entry_counts()["certs"] == 1
+
+
+# ----------------------------------------------------------------------
+# Memo eviction order
+# ----------------------------------------------------------------------
+class TestMemoEviction:
+    def test_hot_structure_survives_lru(self, store):
+        # Re-hit between every cold insert: least-recently-used eviction
+        # must keep it, where insertion order would drop it first.
+        config = scheme_config(Scheme.DRAIN, TINY, seed=1)
+        hot = structcache.parts_for(make_mesh(3, 3), config)
+        for width, height in ((4, 4), (3, 4), (4, 3), (2, 5)):
+            structcache.parts_for(make_mesh(width, height), config)
+            assert structcache.parts_for(make_mesh(3, 3), config) is hot
+        assert structcache.parts_for(make_mesh(3, 3), config) is hot
+        # The least recently used structure is the one that went: asking
+        # for it again reloads it from disk.
+        compiled, hits = store.compiles, store.hits
+        structcache.parts_for(make_mesh(4, 4), config)
+        assert store.compiles == compiled and store.hits > hits
+
+
+# ----------------------------------------------------------------------
+# Derived in-process artefacts (engine rows, turn tables)
+# ----------------------------------------------------------------------
+def small_sim(topology, scheme=Scheme.DRAIN, seed=3, rate=0.08, **kwargs):
+    config = scheme_config(scheme, TINY, seed=seed)
+    traffic = SyntheticTraffic(
+        UniformRandom(topology.num_nodes), rate, random.Random(seed)
+    )
+    return Simulation(topology, config, traffic, **kwargs)
+
+
+def reference_rows(tables, mode, escape_tables=None):
+    """The row construction without interning: one group per row."""
+    rows, esc_rows = [], []
+    main = tables.row_lists()
+    esc_main = escape_tables.row_lists() if escape_tables else None
+    for idx, links in enumerate(main):
+        row = esc = ()
+        if mode is None and links:
+            row = esc = (_make_group(links, 0),)
+        elif mode == "drain" and links:
+            row = (_make_group(links, 3), _make_group(links, 2))
+            esc = (_make_group(links, 2),)
+        elif mode == "escape_vc":
+            pairs = [(link, 4) for link in links]
+            pairs.extend((link, 2) for link in esc_main[idx])
+            row = (_make_mixed_group(pairs),) if pairs else ()
+            if esc_main[idx]:
+                esc = (_make_group(esc_main[idx], 2),)
+        rows.append(row)
+        esc_rows.append(esc)
+    return tuple(rows), tuple(esc_rows)
+
+
+class TestDerivedArtifacts:
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            lambda: synthetic_trial_for(
+                make_mesh(8, 8), Scheme.DRAIN, 0.08, TINY, mesh_width=8
+            ),
+            lambda: synthetic_trial_for(
+                make_mesh(4, 4), Scheme.ESCAPE_VC, 0.1, TINY, mesh_width=4
+            ),
+            lambda: synthetic_trial_for(
+                make_leaf_spine(8, 4, uplinks=1, east_west=True),
+                Scheme.DRAIN, 0.08, TINY,
+            ),
+            lambda: fault_recovery_trial(
+                make_mesh(4, 4),
+                scheme_config(Scheme.DRAIN, TINY, seed=5),
+                0.06, cycles=400, warmup=60,
+                schedule=FaultSchedule.generate(
+                    make_mesh(4, 4), 2, seed=5, window=(100, 250),
+                    ensure_connected=True,
+                ),
+                mesh_width=4,
+            ),
+        ],
+        ids=["drain-mesh8", "escape-vc-mesh4", "drain-leafspine",
+             "fault-recovery"],
+    )
+    def test_memo_hit_results_equal_store_off(self, store, make_spec):
+        spec = make_spec()
+        first = json.loads(json.dumps(execute_trial(spec)))
+        builds, hits = store.derived_builds, store.derived_hits
+        assert builds >= 2  # candidate tables + engine rows at least
+        second = json.loads(json.dumps(execute_trial(spec)))
+        assert store.derived_builds == builds
+        assert store.derived_hits >= hits + builds
+        structcache.deactivate()
+        structcache.clear_memos()
+        bare = json.loads(json.dumps(execute_trial(spec)))
+        assert first == second == bare
+
+    def test_fault_trial_leaves_memoized_rows_intact(self, store):
+        mesh = make_mesh(4, 4)
+        boot = small_sim(mesh)
+        boot.run(40)
+        parts = structcache.parts_for(mesh, boot.config)
+        rows = parts.derived["engine"]
+        turns = parts.derived["turns"]
+        assert boot.fabric._engine._rows is rows.rows
+        assert boot.drain_controller.turn_tables is turns[0]
+        snapshot = reference_rows(rows.tables, "drain")
+        turn_snapshot = {r: dict(t._turns) for r, t in turns[0].items()}
+        ports_snapshot = [list(c) for c in turns[1]]
+
+        schedule = FaultSchedule.generate(
+            mesh, 2, seed=9, window=(50, 120), ensure_connected=True
+        )
+        faulty = small_sim(mesh, seed=4, fault_schedule=schedule)
+        faulty.run(300)
+        assert faulty.index.fault_epoch > 0
+        assert faulty.fabric._engine._rows is not rows.rows
+        assert faulty.drain_controller.turn_tables is not turns[0]
+
+        # Same objects, same content: nothing wrote back into the memo.
+        assert parts.derived["engine"] is rows
+        assert parts.derived["turns"] is turns
+        assert (rows.rows, rows.esc_rows) == snapshot
+        assert {r: dict(t._turns) for r, t in turns[0].items()} == (
+            turn_snapshot
+        )
+        assert [list(c) for c in turns[1]] == ports_snapshot
+
+        after = small_sim(mesh, seed=5)
+        after.run(40)
+        assert after.fabric._engine._rows is rows.rows
+        assert after.drain_controller.turn_tables is turns[0]
+
+    def test_boot_guards_refuse_memo(self, store):
+        mesh = make_mesh(4, 4)
+        small_sim(mesh).run(10)
+        rows = structcache.parts_for(
+            mesh, scheme_config(Scheme.DRAIN, TINY, seed=3)
+        ).derived["engine"]
+        # Fault epoch moved before the first build: private rows.
+        faulted = small_sim(mesh, seed=4)
+        faulted.index.apply_faults({0, faulted.index.link_reverse[0]}, set())
+        faulted.fabric.routing.rebuild()
+        faulted.run(10)
+        assert faulted.fabric._engine._rows is not rows.rows
+        # Routing tables no longer the memo's: private rows too.
+        rebuilt = small_sim(mesh, seed=5)
+        rebuilt.fabric.routing.rebuild()
+        rebuilt.run(10)
+        assert rebuilt.fabric._engine._rows is not rows.rows
+        assert rebuilt.fabric._engine._rows == rows.rows
+        assert structcache.parts_for(
+            mesh, scheme_config(Scheme.DRAIN, TINY, seed=3)
+        ).derived["engine"] is rows
+
+    def test_invalidate_detaches_from_memo(self, store):
+        mesh = make_mesh(4, 4)
+        sim = small_sim(mesh)
+        sim.run(20)
+        rows = structcache.parts_for(mesh, sim.config).derived["engine"]
+        engine = sim.fabric._engine
+        assert engine._rows is rows.rows
+        sim.fabric.invalidate_routing_cache()
+        sim.run(20)
+        assert engine._rows is not None and engine._rows is not rows.rows
+        assert engine._rows == rows.rows
+
+    def test_explicit_drain_path_never_adopts(self, store):
+        mesh = make_mesh(4, 4)
+        small_sim(mesh).run(10)
+        turns = structcache.parts_for(
+            mesh, scheme_config(Scheme.DRAIN, TINY, seed=3)
+        ).derived["turns"]
+        own = small_sim(mesh, drain_path=find_drain_path(mesh))
+        ctrl = own.drain_controller
+        assert ctrl.turn_tables is not turns[0]
+        assert ctrl.path_port_cycles is not turns[1]
+        assert ctrl.path_port_cycles == turns[1]
+
+    def test_clear_memos_drops_derived(self, store):
+        mesh = make_mesh(4, 4)
+        sim = small_sim(mesh)
+        sim.run(10)
+        parts = structcache.parts_for(mesh, sim.config)
+        assert set(parts.derived) == {"tables", "engine", "turns"}
+        builds = store.derived_builds
+        structcache.clear_memos()
+        fresh = structcache.parts_for(mesh, sim.config)
+        assert fresh is not parts and fresh.derived == {}
+        small_sim(mesh).run(10)
+        assert store.derived_builds == builds + 3
+
+    @pytest.mark.parametrize(
+        "scheme,mode",
+        [(Scheme.DRAIN, "drain"), (Scheme.NONE, None),
+         (Scheme.ESCAPE_VC, "escape_vc")],
+    )
+    def test_interned_rows_match_plain_construction(self, store, scheme,
+                                                    mode):
+        mesh = make_mesh(8, 8)
+        sim = small_sim(mesh, scheme=scheme)
+        compiled = sim.fabric._engine.export_rows()
+        assert (compiled.rows, compiled.esc_rows) == reference_rows(
+            compiled.tables, mode, compiled.escape_tables
+        )
+        # Router 0 reaches routers 1 and 2 (due east) over the same single
+        # link: their rows share one group object.
+        assert compiled.rows[1] == compiled.rows[2]
+        assert compiled.rows[1][0] is compiled.rows[2][0]
+        distinct = {id(g) for row in compiled.rows for g in row}
+        assert len(distinct) < len(compiled.rows) // 4
+
+
+class TestDerivedCounters:
+    def test_stats_report_derived_counters(self, store):
+        stats = structcache.stats()
+        assert stats["derived_builds"] == 0 and stats["derived_hits"] == 0
+        mesh = make_mesh(4, 4)
+        small_sim(mesh).run(10)
+        compiles = store.compiles
+        assert store.derived_builds == 3 and store.derived_hits == 0
+        small_sim(mesh, seed=4).run(10)
+        assert store.derived_builds == 3 and store.derived_hits == 3
+        # Derived artefacts are never disk compiles.
+        assert store.compiles == compiles
+        stats = structcache.stats()
+        assert (stats["derived_builds"], stats["derived_hits"]) == (3, 3)
+
+    def test_manifest_surfaces_derived_counters(self, store):
+        specs = [tiny_spec(seed=s) for s in (1, 2, 3)]
+        harness = Harness(workers=1, cache=None)
+        harness.run(specs)
+        sc = build_manifest("derived", harness).struct_cache
+        assert sc["derived_builds"] == 3, sc
+        assert sc["derived_hits"] == 6, sc
+
+    def test_store_off_has_no_derived_artifacts(self):
+        sim = small_sim(make_mesh(4, 4))
+        sim.run(10)
+        assert sim.fabric._engine._parts is None
+        assert structcache.stats() is None
