@@ -37,6 +37,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from .. import structcache
 from ..core.rng import stable_hash
 from .cases import BenchCase, resolve_cases
 
@@ -58,14 +59,27 @@ def _peak_rss_kb() -> int:
 
 def run_case(case: BenchCase, repeat: int = 1,
              log=None) -> Dict[str, object]:
-    """Time one case ``repeat`` times (fresh setup each); keep the best."""
+    """Time one case ``repeat`` times (fresh setup each); keep the best.
+
+    Every setup and timed run starts store-off with empty structure
+    memos, so no case inherits another's (or the caller's) structure
+    store state; cases that want a store activate a private one. The
+    caller's store is restored afterwards.
+    """
+    prev = structcache.active_store()
     best = float("inf")
-    for _ in range(max(1, repeat)):
-        run = case.setup()
-        start = time.perf_counter()
-        run()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
+    try:
+        for _ in range(max(1, repeat)):
+            structcache.deactivate()
+            structcache.clear_memos()
+            run = case.setup()
+            start = time.perf_counter()
+            run()
+            elapsed = time.perf_counter() - start
+            best = min(best, elapsed)
+    finally:
+        if prev is not None:
+            structcache.activate(prev.root)
     record = {
         "name": case.name,
         "kind": case.kind,

@@ -165,7 +165,6 @@ class Simulation:
         degradation_ladder: bool = False,
         dense: bool = False,
         engine: Optional[str] = None,
-        shared=None,
     ) -> None:
         if flow_control not in ("vct", "wormhole"):
             raise ValueError("flow_control must be 'vct' or 'wormhole'")
@@ -190,27 +189,13 @@ class Simulation:
         self.halt_on_deadlock = halt_on_deadlock
         self.flow_control = flow_control
         scheme = config.scheme
-        # Cross-trial shared construction (repro.network.batched.SharedParts):
-        # batch members of one group reuse the donor's index, routing and
-        # drain path instead of rebuilding them. Sound only while nothing
-        # can mutate the shared state mid-run — runtime faults rewrite the
-        # index's distances and the installed drain paths, so fault-bearing
-        # configurations always build private parts.
-        adopt = (
-            shared is not None
-            and shared.topology is topology
-            and shared.scheme is scheme
-            and fault_schedule is None
-            and pause_storm is None
-            and not degradation_ladder
-        )
-        self.index = shared.index if adopt else FabricIndex(topology)
+        self.index = FabricIndex(topology)
         # Compiled-structure store warm path (repro.structcache): boot
         # artefacts for this (topology, config-sans-seed) pair, or None
         # when the store is inactive. Sound even for fault-bearing runs:
         # the artefacts describe the boot (epoch 0) state, and every
         # fault reconfiguration rebuilds tables from the live index.
-        parts = None if adopt else parts_for(topology, config)
+        parts = parts_for(topology, config)
         self.stats = NetworkStats()
         if flow_control == "wormhole" and scheme not in (
             Scheme.DRAIN, Scheme.NONE
@@ -222,9 +207,7 @@ class Simulation:
 
         # Main routing function (Table II: fully adaptive random everywhere
         # except the pure up*/down* baseline).
-        if adopt:
-            routing = shared.routing
-        elif scheme is Scheme.UPDOWN:
+        if scheme is Scheme.UPDOWN:
             # The classic deterministic variant: this is the baseline whose
             # cost Figure 5 quantifies.
             routing = UpDownRouting(self.index, deterministic=True)
@@ -246,15 +229,11 @@ class Simulation:
         escape_mode = None
         escape_routing = None
         # Compiled turn tables to adopt, only ever for a drain path taken
-        # from the shared parts or the store (a caller-supplied path
-        # always compiles its own).
+        # from the store (a caller-supplied path always compiles its own).
         turns: Optional[TurnConfig] = None
         if scheme is Scheme.DRAIN:
             escape_mode = "drain"
-            if adopt and drain_path is None:
-                drain_path = shared.drain_path
-                turns = shared.drain_turns
-            elif (
+            if (
                 drain_path is None
                 and parts is not None
                 and parts.drain_links is not None
@@ -268,15 +247,12 @@ class Simulation:
                 )
         elif scheme is Scheme.ESCAPE_VC:
             escape_mode = "escape_vc"
-            if adopt:
-                escape_routing = shared.escape_routing
-            else:
-                # DOR on the fault-free mesh, up*/down* on irregular
-                # topologies (Section V-B's configuration).
-                try:
-                    escape_routing = DimensionOrderRouting(self.index)
-                except ValueError:
-                    escape_routing = UpDownRouting(self.index)
+            # DOR on the fault-free mesh, up*/down* on irregular
+            # topologies (Section V-B's configuration).
+            try:
+                escape_routing = DimensionOrderRouting(self.index)
+            except ValueError:
+                escape_routing = UpDownRouting(self.index)
 
         if flow_control == "wormhole":
             from ..network.wormhole import WormholeFabric
@@ -373,12 +349,13 @@ class Simulation:
 
         #: Reference mode: plain per-cycle stepping, no fast-forward.
         self.dense = bool(dense)
-        #: Event-horizon hooks — every wired side component's
-        #: ``next_event_cycle``; :meth:`_event_horizon` takes their min.
-        self._horizon_hooks = [
-            component.next_event_cycle
+        #: The wired side components stepped between traffic generation
+        #: and the fabric, in phase order. The ladder precedes the drain
+        #: controller, so a forced drain collapses the countdown and the
+        #: freeze fires that very cycle.
+        self._controllers = tuple(
+            component
             for component in (
-                self.fault_injector,
                 self.degradation_ladder,
                 self.drain_controller,
                 self.spin_controller,
@@ -386,6 +363,13 @@ class Simulation:
                 self.ideal_resolver,
                 self.watchdog,
             )
+            if component is not None
+        )
+        #: Event-horizon hooks — every wired side component's
+        #: ``next_event_cycle``; :meth:`_event_horizon` takes their min.
+        self._horizon_hooks = [
+            component.next_event_cycle
+            for component in (self.fault_injector, *self._controllers)
             if component is not None
         ]
         #: Fast-forward telemetry (not part of NetworkStats — outputs stay
@@ -408,20 +392,14 @@ class Simulation:
             # consistent post-fault network.
             self.fault_injector.step()
         self.traffic.generate(fabric, fabric.cycle)
-        if self.degradation_ladder is not None:
-            # Before the drain controller, so a forced drain collapses the
-            # countdown and the freeze fires this very cycle.
-            self.degradation_ladder.step()
-        if self.drain_controller is not None:
-            self.drain_controller.step()
-        if self.spin_controller is not None:
-            self.spin_controller.step()
-        if self.bubble_controller is not None:
-            self.bubble_controller.step()
-        if self.ideal_resolver is not None:
-            self.ideal_resolver.step()
-        if self.watchdog is not None:
-            self.watchdog.step()
+        self._finish_cycle()
+
+    def _finish_cycle(self) -> None:
+        """Every phase of a cycle after traffic generation: the side
+        components in order, then the fabric, then the consume hook."""
+        for component in self._controllers:
+            component.step()
+        fabric = self.fabric
         fabric.step()
         self.traffic.consume(fabric, fabric.cycle)
 
@@ -545,20 +523,7 @@ class Simulation:
                 self.drain_controller.skip_cycles(prefix)
         if self.fault_injector is not None:
             self.fault_injector.step()
-        if self.degradation_ladder is not None:
-            self.degradation_ladder.step()
-        if self.drain_controller is not None:
-            self.drain_controller.step()
-        if self.spin_controller is not None:
-            self.spin_controller.step()
-        if self.bubble_controller is not None:
-            self.bubble_controller.step()
-        if self.ideal_resolver is not None:
-            self.ideal_resolver.step()
-        if self.watchdog is not None:
-            self.watchdog.step()
-        fabric.step()
-        traffic.consume(fabric, fabric.cycle)
+        self._finish_cycle()
         return consumed
 
     def throughput(self) -> float:

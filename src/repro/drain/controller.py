@@ -44,7 +44,7 @@ __all__ = ["DrainController", "TurnConfig", "compile_turns"]
 #: A covering cycle set's compiled form: per-router turn tables plus each
 #: cycle's port list in cycle order. Read-only once built — a recovery
 #: reinstall replaces it wholesale — so one instance can serve every
-#: controller booting the same path (batch donors, the structure memo).
+#: controller booting the same path (the structure memo).
 TurnConfig = Tuple[Dict[int, TurnTable], List[List[int]]]
 
 
@@ -98,11 +98,10 @@ class DrainController:
         #: Online drain-path reinstallations (fault recovery events).
         self.reinstalls = 0
         if tables_from is not None:
-            # Cross-trial shared construction (a batch donor or the
-            # structure memo): the caller vouches that *tables_from* was
-            # compiled for this path over this index numbering. Adopting
-            # it skips the per-trial build without any shared mutable
-            # state.
+            # Cross-trial shared construction (the structure memo): the
+            # caller vouches that *tables_from* was compiled for this path
+            # over this index numbering. Adopting it skips the per-trial
+            # build without any shared mutable state.
             self.paths = [path]
             self.turn_tables, self.path_port_cycles = tables_from
         else:

@@ -56,8 +56,6 @@ __all__ = [
     "coherence_trial",
     "fault_recovery_trial",
     "lossless_trial",
-    "batch_group_key",
-    "batch_payload",
     "structural_params",
 ]
 
@@ -495,16 +493,6 @@ def _run_lossless(params: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
-# ----------------------------------------------------------------------
-# Cross-trial lockstep batching
-# ----------------------------------------------------------------------
-#: Runners whose trials the lockstep batch executor can reconstruct.
-#: ``synthetic`` is the perf path; ``fault_recovery`` joins for coverage
-#: (its members build private index/routing parts and step their drain
-#: controller densely — see repro.network.batched).
-BATCHABLE_RUNNERS = ("synthetic", "fault_recovery")
-
-
 def structural_params(
     spec: TrialSpec,
 ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any]]]:
@@ -513,9 +501,8 @@ def structural_params(
     This is the structure store's view of a trial: everything under these
     two params (minus the config seed) keys the compiled artefacts the
     trial will boot from. Returns None for specs without the standard
-    ``topology``/``config`` params (e.g. ``batch.lockstep`` wrappers,
-    whose members are warmed individually before batching). Used by the
-    harness's compile-once warm start (:mod:`repro.harness.pool`).
+    ``topology``/``config`` params. Used by the harness's compile-once
+    warm start (:mod:`repro.harness.pool`).
     """
     params = spec.params
     topo = params.get("topology") if isinstance(params, Mapping) else None
@@ -523,153 +510,6 @@ def structural_params(
     if not isinstance(topo, Mapping) or not isinstance(config, Mapping):
         return None
     return dict(topo), dict(config)
-
-
-def batch_group_key(spec: TrialSpec) -> Optional[str]:
-    """Compatibility key for lockstep batching, or None if unbatchable.
-
-    Two specs may share a batch iff they agree on everything that shapes
-    the simulation's structure: topology, scheme, engine selection, vc/vn
-    geometry, traffic pattern — the full config minus the per-trial seed.
-    Per-member knobs (rate, seeds, cycles, warmup, fault schedules) vary
-    freely inside a group. Configurations the batch executor cannot build
-    a :class:`~repro.network.batched.BatchMember` for (non-credit flow
-    control, multi-flit packets, a VC geometry outside the vectorized
-    engine's gate) return None and always run solo.
-    """
-    if spec.runner not in BATCHABLE_RUNNERS:
-        return None
-    params = spec.params
-    config = dict(params.get("config") or {})
-    network = dict(config.get("network") or {})
-    if config.get("flow_control", "credit") != "credit":
-        return None
-    if network.get("packet_size_flits", 1) != 1:
-        return None
-    if network.get("vcs_per_vn", 2) != 2:
-        return None
-    config.pop("seed", None)
-    key = json.dumps(
-        {
-            "topology": params.get("topology"),
-            "config": config,
-            "pattern": params.get("pattern"),
-            "mesh_width": params.get("mesh_width"),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.blake2b(key.encode("utf-8"), digest_size=16).hexdigest()
-
-
-def batch_payload(specs) -> "TrialSpec":
-    """Wrap a group of compatible specs as one ``batch.lockstep`` trial.
-
-    The wrapper spec is a scheduling artefact only — it is never digested
-    for the cache (cache and journal entries stay per-member), so its
-    params simply carry each member's (runner, params) pair in order.
-    """
-    return TrialSpec(
-        "batch.lockstep",
-        {"trials": [[spec.runner, dict(spec.params)] for spec in specs]},
-    )
-
-
-@register_runner("batch.lockstep")
-def _run_batch(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Run a group of compatible trials as one lockstep batch.
-
-    Returns an envelope ``{"results": [...], "evictions": [...]}`` with
-    one result per member in input order. Members whose configuration
-    forces a scalar/dense fallback at fabric construction are evicted:
-    they rerun solo through their own runner (bit-identical by the engine
-    parity contract) and the fallback is recorded in ``evictions``.
-    """
-    from ..network.batched import (
-        BatchedEngine,
-        BatchMember,
-        MirroredRandom,
-        SharedParts,
-        WordStream,
-        adopt_engine_tables,
-    )
-
-    trials = params["trials"]
-    results: list = [None] * len(trials)
-    evictions: list = []
-    topology: Optional[Topology] = None
-    shared: Optional[SharedParts] = None
-    entries: list = []
-    for i, (runner, p) in enumerate(trials):
-        if runner not in BATCHABLE_RUNNERS:
-            results[i] = execute_trial(TrialSpec(runner, p))
-            evictions.append({"index": i, "reason": f"runner {runner!r}"})
-            continue
-        if topology is None:
-            topology = topology_from_spec(p["topology"])
-        config = config_from_dict(p["config"])
-        stream = WordStream(p["traffic_seed"])
-        traffic = SyntheticTraffic(
-            pattern_by_name(p["pattern"], topology.num_nodes,
-                            p.get("mesh_width")),
-            p["rate"],
-            MirroredRandom(stream),
-        )
-        kwargs: Dict[str, Any] = {}
-        if runner == "fault_recovery":
-            from ..faults.schedule import FaultSchedule
-
-            faults = p["faults"]
-            kwargs = {
-                "fault_schedule": FaultSchedule.from_dict(faults["schedule"]),
-                "fault_policy": faults.get("policy", "drop_retransmit"),
-                "fault_curve_window": faults.get("curve_window", 200),
-                "fault_max_circuits": faults.get("max_circuits", 512),
-            }
-        sim = Simulation(topology, config, traffic, shared=shared, **kwargs)
-        if sim.fabric.engine_name != "vectorized":
-            # Structural fallback (stateful routing, forced scalar, ...):
-            # evict and run solo — the solo rerun is the recorded result.
-            reason = (sim.fabric.engine_fallback_reason
-                      or f"engine {sim.fabric.engine_name!r}")
-            results[i] = execute_trial(TrialSpec(runner, p))
-            evictions.append({"index": i, "reason": reason})
-            continue
-        if shared is None and not kwargs:
-            shared = SharedParts.from_simulation(sim)
-        entries.append(
-            (i, runner, p,
-             BatchMember(sim, stream, p["cycles"], warmup=p["warmup"]))
-        )
-    if entries:
-        if shared is not None:
-            donor = next(
-                m.sim.fabric for _, _, _, m in entries
-                if m.sim.index is shared.index
-            )
-            adopt_engine_tables(
-                donor,
-                [m.sim.fabric for _, _, _, m in entries
-                 if m.sim.fabric is not donor],
-            )
-        BatchedEngine([m for _, _, _, m in entries]).run()
-    for i, runner, p, member in entries:
-        sim = member.sim
-        out = _summarise(sim)
-        out["rate"] = p["rate"]
-        out["ejected"] = sim.stats.packets_ejected
-        if runner == "fault_recovery":
-            out["faults"] = sim.fault_injector.summary()
-            if sim.drain_controller is not None:
-                out["drain_covered_links"] = (
-                    sim.drain_controller.total_path_length()
-                )
-                out["drain_cycles_installed"] = len(sim.drain_controller.paths)
-            out["links_alive"] = (
-                sim.index.num_links - len(sim.index.dead_links)
-            )
-        results[i] = out
-    return {"results": results, "evictions": evictions}
 
 
 @register_runner("coherence")

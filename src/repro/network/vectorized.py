@@ -27,10 +27,10 @@ whole set is an immutable :class:`EngineRows`.
 A row set is compiled once per structure, not per trial. With the
 structure store active the boot set lives on the structure's memo entry
 (:class:`~repro.structcache.StructParts`), and every later engine of the
-structure adopts it through :meth:`VectorizedEngine.adopt` — the same
-method batch members use to share their donor's set. Adoption is boot
-state only: fault epoch 0, with the routing function still holding the
-memo's compiled tables. A later fault epoch, or an invalidation of rows
+structure adopts it through :meth:`VectorizedEngine.adopt`, the same
+method that installs a private build. Adoption is boot state only:
+fault epoch 0, with the routing function still holding the memo's
+compiled tables. A later fault epoch, or an invalidation of rows
 already held, compiles privately and never writes back.
 
 Credit and escape availability live in one flat byte array — bit ``v`` of
@@ -196,20 +196,13 @@ class VectorizedEngine:
         self._esc_rows = None
 
     def adopt(self, compiled: EngineRows) -> None:
-        """Install a compiled row set (own build, memo or batch donor)."""
+        """Install a compiled row set (a private build or the memo's)."""
         self._rows = compiled.rows
         self._esc_rows = compiled.esc_rows
         self.tables = compiled.tables
         self.escape_tables = compiled.escape_tables
         self._epoch = compiled.tables.epoch
         self.rebuilds += 1
-
-    def export_rows(self) -> EngineRows:
-        """The current row set, compiling it first if it is stale."""
-        if self._rows is None or self._epoch != self.fabric.index.fault_epoch:
-            self._build_tables()
-        return EngineRows(self._rows, self._esc_rows, self.tables,
-                          self.escape_tables)
 
     def _build_tables(self) -> None:
         """Adopt the structure memo's boot rows, or compile privately.

@@ -10,9 +10,8 @@ artefact by content, never by object identity or file path:
 - a **structure digest** additionally covers the full ``SimConfig``
   *minus the seed* (scheme, flow control, VC/VN geometry, drain/spin/PFC
   sections). Routing tables depend on the config-selected routing
-  function, so they key on the pair. This generalises
-  ``batch_group_key`` in :mod:`repro.harness.trials`: seeds vary freely
-  inside a structure, everything shaping the network does not.
+  function, so they key on the pair. Seeds vary freely inside a
+  structure; everything shaping the network does not.
 - a **certificate digest** covers the preflight memo key (topology,
   scheme, flow control, pinned-flow set), mirroring the per-process
   ``_CERT_CACHE`` in :mod:`repro.analysis.preflight`.

@@ -108,6 +108,39 @@ class TestRunner:
         out = write_report(report, tmp_path / "BENCH_test.json")
         assert load_report(out)["cases"] == report["cases"]
 
+    def test_cases_never_leak_structure_store_state(self, tmp_path):
+        # Every case starts store-off with empty memos, and the caller's
+        # store is back in place afterwards — even after a case that
+        # activates (and deactivates) a private store of its own.
+        from dataclasses import replace
+
+        from repro import structcache
+        from repro.bench.runner import run_case
+
+        solo = CASES["e2e_fig11_sweep16_solo"]
+        seen = []
+
+        def observed_setup():
+            seen.append(structcache.active_store())
+            run = solo.setup()
+
+            def observed():
+                seen.append(structcache.active_store())
+                run()
+
+            return observed
+
+        store = structcache.activate(tmp_path / "structs")
+        try:
+            run_case(CASES["e2e_fig11_sweep16_memo"])
+            assert structcache.active_store().root == store.root
+            run_case(replace(solo, setup=observed_setup))
+            assert seen == [None, None]
+            assert structcache.active_store().root == store.root
+        finally:
+            structcache.deactivate()
+            structcache.clear_memos()
+
     def test_default_report_name_convention(self):
         name = default_report_name()
         assert name.startswith("BENCH_") and name.endswith(".json")

@@ -47,9 +47,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             config_from_dict(data)
 
-    def test_unknown_top_level_key_rejected(self):
+    # ``batch`` was a scheduling knob once tolerated here; a stale copy in
+    # a hand-written config must now fail loudly like any unknown key.
+    @pytest.mark.parametrize("key", ["extra", "batch"])
+    def test_unknown_top_level_key_rejected(self, key):
         data = config_to_dict(SimConfig())
-        data["extra"] = {}
+        data[key] = {}
         with pytest.raises(ValueError):
             config_from_dict(data)
 

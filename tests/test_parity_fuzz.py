@@ -16,13 +16,6 @@ tmp dir, so a failure can be replayed without re-running the sweep.
 
 The pool is deterministic: a fixed master seed drives every per-config
 seed draw, so CI and local runs fuzz the exact same configurations.
-
-A second lane covers cross-trial lockstep batching (DESIGN.md,
-"Cross-trial lockstep batching"): pinned batchable groups run batch-of-8
-through the ``batch.lockstep`` runner and must reproduce each member's
-solo ``execute_trial`` result bit-for-bit, including mixed groups with
-an evicted stateful-routing member and members carrying mid-run fault
-schedules. Divergences dump a minimized repro the same way.
 """
 
 from __future__ import annotations
@@ -36,18 +29,8 @@ from repro.core.config import Scheme
 from repro.core.configio import config_to_dict
 from repro.core.rng import derive_seed
 from repro.core.simulator import Simulation
-from repro.experiments.common import (
-    Scale,
-    scheme_config,
-    synthetic_trial_for,
-)
+from repro.experiments.common import Scale, scheme_config
 from repro.faults.schedule import FaultEvent, FaultSchedule
-from repro.harness.trials import (
-    batch_group_key,
-    batch_payload,
-    execute_trial,
-    fault_recovery_trial,
-)
 from repro.topology.irregular import inject_link_faults
 from repro.topology.mesh import make_mesh, make_torus
 
@@ -220,130 +203,3 @@ class TestParityFuzz:
         assert sim.stats.faults_applied >= 1
         assert sim.fabric.engine_name == "vectorized"
         assert sim.fabric._engine.rebuilds >= 3  # initial + one per epoch
-
-
-# ----------------------------------------------------------------------
-# Batched lane: lockstep batches vs their solo reference runs
-# ----------------------------------------------------------------------
-#: Smaller than FUZZ_SCALE (the batch lane runs every config twice) but
-#: still crossing a drain epoch and a spin timeout inside the window.
-BATCH_SCALE = Scale(warmup=40, measure=120, epoch=96, spin_timeout=48)
-BATCH_SIZE = 8
-
-
-def _build_batch_groups():
-    """Pinned batchable groups: >= 10 configs over two (scheme, topo) cells.
-
-    Every group shares one :func:`batch_group_key` (same topology, scheme
-    and geometry), while seeds and rates vary per member — exactly the
-    shape the sweep harness batches.
-    """
-    master = random.Random(MASTER_SEED ^ 0xBA7C4)
-    groups = []
-    for scheme, topo in ((Scheme.DRAIN, "mesh"), (Scheme.SPIN, "torus")):
-        topology = make_mesh(4, 4) if topo == "mesh" else make_torus(4, 4)
-        groups.append([
-            synthetic_trial_for(
-                topology, scheme, master.choice(LOAD_POINTS), BATCH_SCALE,
-                mesh_width=4, seed=master.randrange(1, 2 ** 31),
-            )
-            for _ in range(BATCH_SIZE)
-        ])
-    return groups
-
-
-def _dump_batch_repro(spec, index, group_index):
-    """Minimized repro for one diverging batch member, written to disk."""
-    blob = {
-        "runner": spec.runner,
-        "params": dict(spec.params),
-        "group": group_index,
-        "index_in_batch": index,
-        "replay": "execute_trial(spec) vs "
-                  "execute_trial(batch_payload(group))['results'][index]",
-    }
-    path = Path(tempfile.gettempdir()) / (
-        f"parity_fuzz_batch_repro_{group_index}_{index}.json"
-    )
-    path.write_text(json.dumps(blob, indent=2, sort_keys=True))
-    return blob, path
-
-
-class TestBatchedParityFuzz:
-    def test_batch_groups_are_pinned_and_compatible(self):
-        groups = _build_batch_groups()
-        assert sum(len(g) for g in groups) >= 10
-        assert [
-            [s.digest() for s in g] for g in groups
-        ] == [[s.digest() for s in g] for g in _build_batch_groups()]
-        for group in groups:
-            keys = {batch_group_key(s) for s in group}
-            assert len(keys) == 1 and None not in keys
-        # The two groups must never merge (different scheme/topology).
-        assert batch_group_key(groups[0][0]) != batch_group_key(groups[1][0])
-
-    def test_batched_groups_match_solo(self):
-        for gi, group in enumerate(_build_batch_groups()):
-            solo = [execute_trial(spec) for spec in group]
-            envelope = execute_trial(batch_payload(group))
-            # Fully vectorizable groups must batch wholesale — an eviction
-            # here means the perf win silently evaporated.
-            assert envelope["evictions"] == []
-            assert len(envelope["results"]) == len(group)
-            for i, (spec, expected) in enumerate(zip(group, solo)):
-                got = envelope["results"][i]
-                if got != expected:
-                    blob, path = _dump_batch_repro(spec, i, gi)
-                    diverging = sorted(
-                        set(expected) ^ set(got)
-                        | {k for k in expected
-                           if k in got and expected[k] != got[k]}
-                    )
-                    raise AssertionError(
-                        f"batched trial diverged from its solo run "
-                        f"(group {gi}, member {i}, fields: {diverging}); "
-                        f"repro written to {path}:\n"
-                        + json.dumps(blob, indent=2, sort_keys=True)
-                    )
-
-    def test_mixed_batch_evicts_stateful_routing(self):
-        # A stateful-routing spec spliced into a vectorizable group (only
-        # constructible via batch_payload — the harness keys them apart)
-        # must be evicted to a solo rerun, with the engine's fallback
-        # reason recorded, and every member must still match its solo run.
-        drain = _build_batch_groups()[0][:4]
-        intruder = synthetic_trial_for(
-            make_mesh(4, 4), Scheme.UPDOWN, 0.12, BATCH_SCALE,
-            mesh_width=4, seed=0xE71C7,
-        )
-        group = drain[:2] + [intruder] + drain[2:]
-        envelope = execute_trial(batch_payload(group))
-        assert [e["index"] for e in envelope["evictions"]] == [2]
-        assert "stateful" in envelope["evictions"][0]["reason"]
-        for spec, got in zip(group, envelope["results"]):
-            assert got == execute_trial(spec)
-
-    def test_batched_fault_recovery_matches_solo(self):
-        # Mid-run faults stay per-trial inside a batch: each member owns
-        # its schedule, applies it at its own cycles, and retires with the
-        # same recovery summary as its solo run.
-        scale = Scale(warmup=40, measure=200, epoch=96, spin_timeout=48)
-        master = random.Random(MASTER_SEED ^ 0xFA017)
-        topology = make_mesh(4, 4)
-        group = []
-        for _ in range(4):
-            seed = master.randrange(1, 2 ** 31)
-            config = scheme_config(Scheme.DRAIN, scale, seed=seed)
-            group.append(fault_recovery_trial(
-                topology, config, master.choice(LOAD_POINTS),
-                cycles=scale.total_cycles, warmup=scale.warmup,
-                schedule=_fault_schedule(seed & 0xFFFF), mesh_width=4,
-            ))
-        assert len({batch_group_key(s) for s in group}) == 1
-        solo = [execute_trial(spec) for spec in group]
-        envelope = execute_trial(batch_payload(group))
-        assert envelope["evictions"] == []
-        assert envelope["results"] == solo
-        # Both fault events (cycles 120 and 200) land inside the window.
-        for result in envelope["results"]:
-            assert result["faults"]["faults_applied"] >= 2

@@ -526,7 +526,9 @@ class TestDerivedArtifacts:
                                                     mode):
         mesh = make_mesh(8, 8)
         sim = small_sim(mesh, scheme=scheme)
-        compiled = sim.fabric._engine.export_rows()
+        sim.run(10)
+        compiled = structcache.parts_for(mesh, sim.config).derived["engine"]
+        assert sim.fabric._engine._rows is compiled.rows
         assert (compiled.rows, compiled.esc_rows) == reference_rows(
             compiled.tables, mode, compiled.escape_tables
         )
